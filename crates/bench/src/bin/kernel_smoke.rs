@@ -47,6 +47,9 @@ fn main() {
     let w = Tensor::randn(&[8, 8, 3, 3], &mut rng);
     let dy = Tensor::randn(&[4, 8, 16, 16], &mut rng);
     let spec = Conv2dSpec::dense(8, 8, 3, 1, 1);
+    // The DS-Conv students' depthwise half: the direct per-plane kernels.
+    let dw_spec = Conv2dSpec::depthwise(8, 3, 1, 1);
+    let dw = Tensor::randn(&dw_spec.weight_dims(), &mut rng);
     let a = Tensor::randn(&[128, 128], &mut rng);
     let b = Tensor::randn(&[128, 128], &mut rng);
 
@@ -69,6 +72,28 @@ fn main() {
             "conv2d_grad_weight_8x16x16",
             Box::new(|p| {
                 std::hint::black_box(conv2d_grad_weight_with(&x, &dy, spec, p).expect("grad w"));
+            }),
+        ),
+        (
+            "dwconv2d_8x16x16",
+            Box::new(|p| {
+                std::hint::black_box(conv2d_with(&x, &dw, dw_spec, p).expect("dwconv2d"));
+            }),
+        ),
+        (
+            "dwconv2d_grad_input_8x16x16",
+            Box::new(|p| {
+                std::hint::black_box(
+                    conv2d_grad_input_with(&dy, &dw, dw_spec, (16, 16), p).expect("dw grad input"),
+                );
+            }),
+        ),
+        (
+            "dwconv2d_grad_weight_8x16x16",
+            Box::new(|p| {
+                std::hint::black_box(
+                    conv2d_grad_weight_with(&x, &dy, dw_spec, p).expect("dw grad w"),
+                );
             }),
         ),
         (

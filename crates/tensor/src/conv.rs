@@ -10,8 +10,12 @@
 //!
 //! * **naive** — direct 7-deep loops: slow, exact, deterministic, easy to
 //!   verify against finite differences, and kept as the oracle;
-//! * **blocked** — the im2col + packed-GEMM lowering in the `im2col`
-//!   module (the default), typically an order of magnitude faster.
+//! * **blocked** (the default), typically an order of magnitude faster:
+//!   depthwise convolutions (one input and one output channel per group)
+//!   run the direct per-plane kernels of the `depthwise` module, and
+//!   every other convolution the im2col + packed-GEMM lowering of the
+//!   `im2col` module. The depthwise kernels are bitwise identical to the
+//!   lowering they replace, so the choice is made from the spec alone.
 
 use crate::error::TensorError;
 use crate::im2col::{

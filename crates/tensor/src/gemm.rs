@@ -35,12 +35,16 @@
 //! bitwise identical to serial ones.
 //!
 //! Packing buffers live in thread-local scratch ([`with_pack_buffers`]),
-//! so steady-state training performs no per-call allocation.
+//! so steady-state training performs no per-call allocation. The scratch
+//! is moved out for the duration of a call (`parallel::with_scratch`),
+//! never borrowed, so a pool task that re-enters the GEMM on a waiting
+//! thread is safe.
 //!
 //! [`KernelPolicy::Blocked`]: crate::KernelPolicy::Blocked
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
+use crate::parallel::with_scratch;
 use crate::simd::{simd_tier, SimdTier};
 
 /// Rows of C carried per microkernel tile.
@@ -49,15 +53,17 @@ const MR: usize = 8;
 const NR: usize = 32;
 /// Row-panel height: A block of `MC x KC` is packed per inner pass.
 const MC: usize = 64;
-/// Depth of one packed panel pair.
-const KC: usize = 256;
+/// Depth of one packed panel pair. Every C element's fma chain restarts
+/// from zero at each depth panel, so kernels that reproduce the GEMM's
+/// results bit for bit (`depthwise`) chain over the same panels.
+pub(crate) const KC: usize = 256;
 /// Column-panel width: B block of `KC x NC` is packed per outer pass.
 const NC: usize = 1024;
 
 thread_local! {
     /// `(packed A, packed B)` scratch, reused across calls on this thread.
-    static PACK_BUFFERS: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    static PACK_BUFFERS: Cell<(Vec<f32>, Vec<f32>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// Floats per cache line; pack slices are aligned to this so panel loads
@@ -80,9 +86,7 @@ fn with_pack_buffers<R>(
     b_len: usize,
     f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
 ) -> R {
-    PACK_BUFFERS.with(|cell| {
-        let mut bufs = cell.borrow_mut();
-        let (pa, pb) = &mut *bufs;
+    with_scratch(&PACK_BUFFERS, |(pa, pb)| {
         f(aligned(pa, a_len), aligned(pb, b_len))
     })
 }
@@ -194,7 +198,7 @@ thread_local! {
     /// calls on the scoping (caller) thread. Distinct from
     /// `PACK_BUFFERS`, which the per-band `gemm_serial` runs use on
     /// their own worker threads.
-    static BAND_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static BAND_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Parallel GEMM over vertical bands of C for short-and-wide outputs.
@@ -222,8 +226,7 @@ fn gemm_cols_parallel(
 ) {
     debug_assert!(nband % NR == 0 && nband < n);
     let nbands = n.div_ceil(nband);
-    BAND_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
+    with_scratch(&BAND_SCRATCH, |buf| {
         if buf.len() < m * nband * nbands {
             buf.resize(m * nband * nbands, 0.0);
         }

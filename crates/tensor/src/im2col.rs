@@ -19,30 +19,45 @@
 //! order `(icg, ky, kx)`, so both policies sum contributions in the same
 //! sequence.
 //!
-//! Pointwise convolutions (`k == 1`, stride 1, no padding) skip the
-//! lowering entirely: the group's input block *is* the column matrix, so
-//! the GEMM reads `x` (and writes `dx`) in place.
+//! Two shapes skip the lowering:
+//!
+//! * **Depthwise** convolutions (`cig == cog == 1`) run the direct
+//!   per-plane kernels of the `depthwise` module. Lowered, they are
+//!   degenerate GEMMs (`m = 1` forward and grad-weight, `k = 1`
+//!   grad-input) that fill at most one row of the 8×32 register tile;
+//!   the direct kernels keep every output element's reduction order, so
+//!   their results are bitwise identical to the lowering's.
+//! * **Pointwise** convolutions (`k == 1`, stride 1, no padding): the
+//!   group's input block *is* the column matrix, so the GEMM reads `x`
+//!   (and writes `dx`) in place.
+//!
+//! The selection happens inside the per-unit bodies, so the pool
+//! decomposition over `(batch, group)` units is the same for every shape.
 //!
 //! The column matrix lives in thread-local scratch ([`with_col_buffer`]):
 //! steady-state training re-lowers into the same allocation every step.
 //!
 //! [`KernelPolicy::Blocked`]: crate::KernelPolicy::Blocked
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 use crate::conv::Conv2dSpec;
+use crate::depthwise;
 use crate::gemm::gemm_strided;
-use crate::parallel::{self, ComputePool};
+use crate::parallel::{self, with_scratch, ComputePool};
+use crate::simd::simd_tier;
 
 thread_local! {
     /// Column-matrix scratch, reused across calls on this thread.
-    static COL_BUFFER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static COL_BUFFER: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` with this thread's column scratch grown to `len`.
+/// Runs `f` with this thread's column scratch grown to `len`. The buffer
+/// is taken by value for the call (`parallel::with_scratch`): the GEMMs
+/// inside `f` may open a pool scope whose waiter runs another caller's
+/// conv task on this very thread.
 fn with_col_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    COL_BUFFER.with(|cell| {
-        let mut buf = cell.borrow_mut();
+    with_scratch(&COL_BUFFER, |buf| {
         if buf.len() < len {
             buf.resize(len, 0.0);
         }
@@ -75,6 +90,12 @@ impl ConvGeom {
     /// Whether the lowering is the identity (the input block is `col`).
     fn pointwise(&self, spec: &Conv2dSpec) -> bool {
         spec.kernel == 1 && spec.stride == 1 && spec.padding == 0
+    }
+
+    /// Whether every unit is one input plane to one output plane — the
+    /// shapes the direct `depthwise` kernels take.
+    fn depthwise(&self, spec: &Conv2dSpec) -> bool {
+        self.cig(spec) == 1 && self.cog(spec) == 1
     }
 }
 
@@ -154,18 +175,31 @@ fn col2im_add(dxg: &mut [f32], col: &[f32], spec: &Conv2dSpec, g: &ConvGeom) {
     }
 }
 
-/// Computes the output block of one `(batch, group)` unit. Inner GEMMs
-/// go through [`gemm_strided`], so a *single*-unit conv called outside a
-/// pool task still parallelizes over its GEMM bands, while unit bodies
-/// running *as* pool tasks execute serially (nested decomposition is
-/// suppressed) — either way the values are bitwise identical.
+/// Computes the output block of one `(batch, group)` unit: the direct
+/// kernel for a depthwise unit, the lowering otherwise. The lowering's
+/// GEMMs go through [`gemm_strided`], so a *single*-unit conv called
+/// outside a pool task still parallelizes over its GEMM bands, while unit
+/// bodies running *as* pool tasks execute serially (nested decomposition
+/// is suppressed) — either way the values are bitwise identical.
 fn conv2d_unit(x: &[f32], w: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &ConvGeom, u: usize) {
     let (b, gi) = (u / spec.groups, u % spec.groups);
     let (cig, cog) = (g.cig(spec), g.cog(spec));
     let ckk = cig * spec.kernel * spec.kernel;
-    let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
+    let hw = g.h * g.w;
     let xg = &x[(b * spec.in_channels + gi * cig) * hw..][..cig * hw];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
+    if g.depthwise(spec) {
+        depthwise::forward(simd_tier(), xg, wg, og, spec, g);
+    } else {
+        lowered_conv2d_unit(xg, wg, og, spec, g);
+    }
+}
+
+/// [`conv2d_unit`]'s im2col + GEMM body for one input block `xg` and
+/// its group's weights `wg`.
+fn lowered_conv2d_unit(xg: &[f32], wg: &[f32], og: &mut [f32], spec: &Conv2dSpec, g: &ConvGeom) {
+    let (cog, ckk) = (g.cog(spec), g.cig(spec) * spec.kernel * spec.kernel);
+    let (hw, ohow) = (g.h * g.w, g.oh * g.ow);
     if g.pointwise(spec) {
         gemm_strided(cog, ohow, ckk, wg, ckk, 1, xg, hw, 1, og, false);
     } else {
@@ -243,6 +277,24 @@ fn grad_input_unit(
     let ohow = g.oh * g.ow;
     let dyg = &dy[(b * spec.out_channels + gi * cog) * ohow..][..cog * ohow];
     let wg = &w[gi * cog * ckk..][..cog * ckk];
+    if g.depthwise(spec) {
+        depthwise::grad_input(simd_tier(), dyg, wg, dxg, spec, g);
+    } else {
+        lowered_grad_input_unit(dyg, wg, dxg, spec, g);
+    }
+}
+
+/// [`grad_input_unit`]'s GEMM + col2im body for one output-gradient
+/// block `dyg` and its group's weights `wg`.
+fn lowered_grad_input_unit(
+    dyg: &[f32],
+    wg: &[f32],
+    dxg: &mut [f32],
+    spec: &Conv2dSpec,
+    g: &ConvGeom,
+) {
+    let (cog, ckk) = (g.cog(spec), g.cig(spec) * spec.kernel * spec.kernel);
+    let ohow = g.oh * g.ow;
     if g.pointwise(spec) {
         // dxg[ckk, hw] = W_gᵀ @ dy_g  (ckk == cig, hw == ohow here).
         gemm_strided(ckk, ohow, cog, wg, 1, ckk, dyg, ohow, 1, dxg, false);
@@ -286,6 +338,22 @@ pub(crate) fn conv2d_grad_input_blocked(
 /// Accumulates the weight gradient of one group over every batch, in
 /// batch order, into its `dw` block (`dwg`, shape `[cog, ckk]`).
 fn grad_weight_group(
+    x: &[f32],
+    dy: &[f32],
+    dwg: &mut [f32],
+    spec: &Conv2dSpec,
+    g: &ConvGeom,
+    gi: usize,
+) {
+    if g.depthwise(spec) {
+        depthwise::grad_weight(simd_tier(), x, dy, dwg, spec, g, gi);
+    } else {
+        lowered_grad_weight_group(x, dy, dwg, spec, g, gi);
+    }
+}
+
+/// [`grad_weight_group`]'s im2col + accumulating-GEMM body.
+fn lowered_grad_weight_group(
     x: &[f32],
     dy: &[f32],
     dwg: &mut [f32],
@@ -396,6 +464,96 @@ pub(crate) fn conv2d_grad_weight_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{install, ComputePool};
+    use crate::rng::Rng64;
+    use crate::simd::SimdTier;
+
+    /// Random values with exact `+0` and `-0` sprinkled in, so sign-of-zero
+    /// differences between the two paths would show.
+    fn values(len: usize, rng: &mut Rng64) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.normal(),
+            })
+            .collect()
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn depthwise_kernels_match_the_lowering_bitwise() {
+        // (kernel, stride, padding, h, w): strides 1 and 2, k in {1, 3, 5},
+        // padding 0 and k/2, non-square planes, and planes of more than
+        // KC = 256 output positions (17x23 ends its first panel mid-row).
+        let mut cases = Vec::new();
+        for k in [1usize, 3, 5] {
+            for s in [1usize, 2] {
+                for pad in [0, k / 2] {
+                    for (h, w) in [(7usize, 5usize), (6, 9), (17, 23)] {
+                        cases.push((k, s, pad, h, w));
+                    }
+                }
+            }
+        }
+        cases.dedup();
+        cases.extend([(3, 1, 1, 40, 40), (3, 2, 1, 40, 40), (3, 1, 0, 16, 16)]);
+        let tiers: Vec<SimdTier> = SimdTier::ALL
+            .into_iter()
+            .filter(|t| t.is_supported())
+            .collect();
+        let mut rng = Rng64::seed_from_u64(13);
+        let serial = ComputePool::new(1);
+        for (k, s, pad, h, w) in cases {
+            let (n, c) = (2, 3);
+            let spec = Conv2dSpec::depthwise(c, k, s, pad);
+            let g = ConvGeom {
+                n,
+                h,
+                w,
+                oh: spec.out_extent(h).unwrap(),
+                ow: spec.out_extent(w).unwrap(),
+            };
+            let (hw, ohow, kk) = (h * w, g.oh * g.ow, k * k);
+            let x = values(n * c * hw, &mut rng);
+            let wt = values(c * kk, &mut rng);
+            let dy = values(n * c * ohow, &mut rng);
+            let dw0 = values(c * kk, &mut rng);
+            let case = format!("k{k} s{s} p{pad} {h}x{w}");
+            for u in 0..n * c {
+                let (b, ch) = (u / c, u % c);
+                let xc = &x[u * hw..][..hw];
+                let dyc = &dy[u * ohow..][..ohow];
+                let wc = &wt[ch * kk..][..kk];
+                let mut want_y = vec![f32::NAN; ohow];
+                let mut want_dx = vec![f32::NAN; hw];
+                let mut want_dw = dw0[ch * kk..][..kk].to_vec();
+                install(&serial, || {
+                    lowered_conv2d_unit(xc, wc, &mut want_y, &spec, &g);
+                    lowered_grad_input_unit(dyc, wc, &mut want_dx, &spec, &g);
+                    if b == 0 {
+                        lowered_grad_weight_group(&x, &dy, &mut want_dw, &spec, &g, ch);
+                    }
+                });
+                for &tier in &tiers {
+                    let mut y = vec![f32::NAN; ohow];
+                    depthwise::forward(tier, xc, wc, &mut y, &spec, &g);
+                    assert!(same_bits(&y, &want_y), "forward {case} {tier}");
+                    let mut dx = vec![f32::NAN; hw];
+                    depthwise::grad_input(tier, dyc, wc, &mut dx, &spec, &g);
+                    assert!(same_bits(&dx, &want_dx), "grad input {case} {tier}");
+                    if b == 0 {
+                        let mut dw = dw0[ch * kk..][..kk].to_vec();
+                        depthwise::grad_weight(tier, &x, &dy, &mut dw, &spec, &g, ch);
+                        assert!(same_bits(&dw, &want_dw), "grad weight {case} {tier}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn im2col_col2im_are_adjoint() {

@@ -8,7 +8,8 @@
 //!   property-tested against.
 //! * [`KernelPolicy::Blocked`] — the cache-tiled compute plane: packed
 //!   blocked GEMM (`gemm` module) plus an im2col lowering for the
-//!   convolution kernels (`im2col` module).
+//!   convolution kernels (`im2col` module), with direct per-plane kernels
+//!   for depthwise convolutions (`depthwise` module).
 //!
 //! The policy is process-global so every caller — NN layers, the model
 //! zoo, both executors — gets the fast path with zero signature changes.
@@ -17,7 +18,8 @@
 //! 1. explicitly per call, via the `*_with` kernel variants;
 //! 2. programmatically, via [`set_kernel_policy`];
 //! 3. from the environment: `PIPEBD_KERNEL_POLICY=naive|blocked`, read
-//!    once on first use.
+//!    once on first use through [`resolve_kernel_policy`]. An unknown
+//!    value panics, like every other `PIPEBD_*` knob.
 //!
 //! The default is [`KernelPolicy::Blocked`].
 
@@ -63,28 +65,46 @@ impl std::fmt::Display for KernelPolicy {
 static POLICY: AtomicU8 = AtomicU8::new(u8::MAX);
 static ENV_POLICY: OnceLock<KernelPolicy> = OnceLock::new();
 
-fn env_policy() -> KernelPolicy {
-    *ENV_POLICY.get_or_init(|| match std::env::var("PIPEBD_KERNEL_POLICY") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("naive") => KernelPolicy::Naive,
-        Ok(v) if v.trim().eq_ignore_ascii_case("blocked") => KernelPolicy::Blocked,
-        Ok(v) => {
-            // A typo'd value silently picking the fast path would
-            // mislabel recorded experiments; warn loudly and fall back.
-            eprintln!(
-                "pipebd_tensor: unrecognized PIPEBD_KERNEL_POLICY={v:?} \
-                 (expected \"naive\" or \"blocked\"); using blocked"
-            );
-            KernelPolicy::Blocked
+impl std::str::FromStr for KernelPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "naive" => Ok(KernelPolicy::Naive),
+            "blocked" => Ok(KernelPolicy::Blocked),
+            other => Err(format!(
+                "unknown kernel policy `{other}` (expected \"naive\" or \"blocked\")"
+            )),
         }
-        Err(_) => KernelPolicy::Blocked,
+    }
+}
+
+/// Resolves a `PIPEBD_KERNEL_POLICY`-style value: `None` is the default
+/// [`KernelPolicy::Blocked`], anything else must name a policy.
+///
+/// # Errors
+///
+/// Returns a diagnostic naming the bad value; the environment path
+/// panics with it, like `PIPEBD_SIMD` ([`crate::resolve_simd_override`]).
+pub fn resolve_kernel_policy(spec: Option<&str>) -> Result<KernelPolicy, String> {
+    spec.map_or(Ok(KernelPolicy::Blocked), str::parse)
+}
+
+fn env_policy() -> KernelPolicy {
+    *ENV_POLICY.get_or_init(|| {
+        let var = std::env::var("PIPEBD_KERNEL_POLICY").ok();
+        // Fail loudly: a typo'd policy silently running the fast path
+        // would mislabel every recorded experiment in this process.
+        resolve_kernel_policy(var.as_deref())
+            .unwrap_or_else(|e| panic!("pipebd_tensor: invalid PIPEBD_KERNEL_POLICY: {e}"))
     })
 }
 
 /// The process-global kernel policy currently in effect.
 ///
 /// Resolution order: the last [`set_kernel_policy`] call, else the
-/// `PIPEBD_KERNEL_POLICY` environment variable, else
-/// [`KernelPolicy::Blocked`].
+/// `PIPEBD_KERNEL_POLICY` environment variable (panicking on an unknown
+/// value), else [`KernelPolicy::Blocked`].
 pub fn kernel_policy() -> KernelPolicy {
     match POLICY.load(Ordering::Relaxed) {
         u8::MAX => env_policy(),
@@ -115,6 +135,30 @@ mod tests {
     fn roundtrip_u8() {
         for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
             assert_eq!(KernelPolicy::from_u8(p.as_u8()), p);
+        }
+    }
+
+    #[test]
+    fn resolve_accepts_names_and_defaults_to_blocked() {
+        assert_eq!(resolve_kernel_policy(None), Ok(KernelPolicy::Blocked));
+        assert_eq!(
+            resolve_kernel_policy(Some("naive")),
+            Ok(KernelPolicy::Naive)
+        );
+        assert_eq!(
+            resolve_kernel_policy(Some(" Blocked ")),
+            Ok(KernelPolicy::Blocked)
+        );
+        for p in [KernelPolicy::Naive, KernelPolicy::Blocked] {
+            assert_eq!(resolve_kernel_policy(Some(&p.to_string())), Ok(p));
+        }
+    }
+
+    #[test]
+    fn unknown_policy_is_an_error_not_a_fallback() {
+        for bad in ["blokced", "", "auto", "fast"] {
+            let err = resolve_kernel_policy(Some(bad)).unwrap_err();
+            assert!(err.contains("unknown kernel policy"), "{err}");
         }
     }
 }

@@ -12,6 +12,9 @@
 //! two [`KernelPolicy`]-selected implementations: direct naive loops (the
 //! oracle) and a cache-blocked packed GEMM with an im2col convolution
 //! lowering (the default), property-tested to agree with the oracle.
+//! Under the default policy, depthwise convolutions skip the lowering for
+//! direct per-plane kernels that are bitwise identical to it; the other
+//! convolutions keep im2col + GEMM.
 //!
 //! # Example
 //!
@@ -31,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod conv;
+mod depthwise;
 mod error;
 mod gemm;
 mod im2col;
@@ -49,7 +53,7 @@ pub use conv::{
     conv2d_with, Conv2dSpec,
 };
 pub use error::TensorError;
-pub use kernel::{kernel_policy, set_kernel_policy, KernelPolicy};
+pub use kernel::{kernel_policy, resolve_kernel_policy, set_kernel_policy, KernelPolicy};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward, max_pool2d,
     max_pool2d_backward, MaxPoolIndices,

@@ -29,9 +29,18 @@
 //! parallel results are **bitwise identical** to serial results for
 //! every pool size. The `parallel_determinism` test battery asserts
 //! exactly this.
+//!
+//! **Reentrancy:** a thread waiting for its scope to drain helps by
+//! running queued tasks — from *any* scope on the pool, including
+//! another caller's kernel. Kernel scratch is therefore never borrowed
+//! across a pool call: `with_scratch` moves a thread-local buffer out
+//! for the duration of the kernel and puts it back afterwards, so a
+//! task that re-enters a kernel on the same thread simply finds an empty
+//! slot and grows its own buffer.
 
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, OnceLock};
+use std::thread::LocalKey;
 
 pub use crossbeam::pool::PoolStats;
 use crossbeam::pool::{Scope, ThreadPool};
@@ -165,6 +174,22 @@ pub(crate) fn active_pool() -> Option<ComputePool> {
         Some(p) => (p.size() > 1).then_some(p),
         None => global_pool(),
     }
+}
+
+/// Runs `f` on this thread's scratch in `slot`, taken by value and put
+/// back afterwards (see the module's reentrancy note). A nested call
+/// on the same thread sees an empty default and allocates its own; the
+/// outer call's buffer wins the slot when it returns. Always inlined:
+/// it wraps every kernel call's hot path.
+#[inline(always)]
+pub(crate) fn with_scratch<T: Default, R>(
+    slot: &'static LocalKey<Cell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let mut buf = slot.take();
+    let out = f(&mut buf);
+    slot.set(buf);
+    out
 }
 
 /// The parallel width kernels on this thread currently see (1 = serial).

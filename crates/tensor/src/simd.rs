@@ -1,11 +1,11 @@
-//! Runtime SIMD dispatch for the blocked-GEMM microkernel.
+//! Runtime SIMD dispatch for the compute kernels.
 //!
 //! The compute plane used to be compiled `-C target-cpu=native`, which
 //! made the binary fast on exactly one microarchitecture and illegal
 //! (SIGILL) everywhere newer instructions were missing. Instead, the
-//! GEMM macro-kernel now exists in three [`SimdTier`]s — one compiled
-//! body per instruction-set level, selected **once at startup** by
-//! probing the CPU:
+//! GEMM macro-kernel and the direct depthwise kernels now exist in three
+//! [`SimdTier`]s — one compiled body per instruction-set level, selected
+//! **once at startup** by probing the CPU:
 //!
 //! | tier | `#[target_feature]` | microkernel shape |
 //! |------|---------------------|-------------------|
@@ -13,25 +13,33 @@
 //! | [`SimdTier::Fma`] | `avx2,fma` | same tile in ymm registers |
 //! | [`SimdTier::Scalar`] | none (baseline x86-64 / any arch) | autovectorized to SSE2 or scalar, `fmaf` via libm |
 //!
-//! Every tier runs the **same Rust source** (`gemm::macro_kernel_body`);
-//! only the enabled instruction set differs. Because the kernel's inner
-//! update is `f32::mul_add` — a *fused* multiply-add with a single
-//! rounding on every tier, hardware FMA or software `fmaf` alike — and
-//! each output element's fma chain over `k` is identical regardless of
-//! vector width, **all tiers produce bitwise-identical results**. The
-//! scalar tier is therefore slow (a libm call per multiply-add on
-//! pre-FMA hardware) but everywhere-correct; the tier tests assert the
-//! bitwise claim directly.
+//! Every tier runs the **same Rust source** (`gemm::macro_kernel_body`,
+//! `depthwise::run_body`); only the enabled instruction set differs.
+//! Because the kernels' inner update is `f32::mul_add` — a *fused*
+//! multiply-add with a single rounding on every tier, hardware FMA or
+//! software `fmaf` alike — and each output element's fma chain is
+//! identical regardless of vector width, **all tiers produce
+//! bitwise-identical results**. The scalar tier is therefore slow (a
+//! libm call per multiply-add on pre-FMA hardware) but
+//! everywhere-correct; the tier tests assert the bitwise claim directly.
+//!
+//! **Writing a tiered kernel.** A tier is a thin `unsafe fn` carrying
+//! `#[target_feature]` that calls an `#[inline(always)]` body, so the
+//! body is compiled once under each wrapper's instruction set. Only code
+//! inlined into the wrapper inherits its features: a closure *inside*
+//! the wrapper (say the callback of a `thread_local!` `.with(|…| …)`)
+//! is a function of its own, compiled for the baseline target, and its
+//! `mul_add`s become libm calls. Take scratch buffers in the caller and
+//! pass them into the wrapper instead.
 //!
 //! Selection, in precedence order (mirroring `PIPEBD_KERNEL_POLICY`):
 //!
 //! 1. programmatic: [`set_simd_tier`] (validated — unsupported tiers are
 //!    rejected, not deferred to a SIGILL);
 //! 2. environment: `PIPEBD_SIMD=scalar|fma|avx512|auto`, read once on
-//!    first use. Unlike the kernel-policy variable, a bad value here
-//!    **panics** instead of warning-and-falling-back: a run benchmarked
-//!    under a typo'd tier would mislabel recorded scaling artifacts, so
-//!    the failure must be loud;
+//!    first use. A bad value **panics** instead of falling back, like
+//!    every `PIPEBD_*` knob: a run benchmarked under a typo'd tier would
+//!    mislabel recorded scaling artifacts, so the failure must be loud;
 //! 3. probe: the best tier the CPU supports.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -159,8 +167,7 @@ fn env_tier() -> SimdTier {
             Ok(t) => t,
             // Fail loudly: a typo'd or unsupported tier silently falling
             // back would mislabel every recorded kernel/scaling artifact
-            // in this process. (Deliberately *not* the warn-and-default
-            // behavior of PIPEBD_KERNEL_POLICY.)
+            // in this process.
             Err(e) => panic!("pipebd_tensor: invalid PIPEBD_SIMD: {e}"),
         }
     })

@@ -8,11 +8,18 @@
 //! each other — asserted here, not just "close" — and match the naive
 //! oracle within FMA-contraction tolerance.
 //!
+//! The direct depthwise kernels are compiled per tier the same way and
+//! are held to the same two claims, for the forward pass and both
+//! adjoints.
+//!
 //! Tier forcing mutates process-global dispatch state, so everything
 //! that switches tiers lives in ONE `#[test]` (tests in a binary run
 //! concurrently); the pure resolution checks are separate.
 
-use pipebd_tensor::{resolve_simd_override, set_simd_tier, simd_tier};
+use pipebd_tensor::{
+    conv2d_grad_input_with, conv2d_grad_weight_with, conv2d_with, resolve_simd_override,
+    set_simd_tier, simd_tier, Conv2dSpec,
+};
 use pipebd_tensor::{KernelPolicy, Rng64, SimdTier, Tensor};
 
 #[test]
@@ -64,14 +71,63 @@ fn every_supported_tier_matches_the_oracle_and_each_other() {
         }
     }
 
+    // Depthwise convs take the direct per-plane kernels: forward and both
+    // adjoints, 3x3 stride 1 (the specialized shape) and a runtime-shape
+    // case (5x5 stride 2 on a non-square plane of more than 256 outputs).
+    for (spec, h, w) in [
+        (Conv2dSpec::depthwise(4, 3, 1, 1), 16, 16),
+        (Conv2dSpec::depthwise(3, 5, 2, 2), 37, 29),
+    ] {
+        let x = Tensor::randn(&[2, spec.in_channels, h, w], &mut rng);
+        let wt = Tensor::randn(&spec.weight_dims(), &mut rng);
+        let (oh, ow) = (spec.out_extent(h).unwrap(), spec.out_extent(w).unwrap());
+        let dy = Tensor::randn(&[2, spec.out_channels, oh, ow], &mut rng);
+        let passes = |p| {
+            [
+                conv2d_with(&x, &wt, spec, p).unwrap(),
+                conv2d_grad_input_with(&dy, &wt, spec, (h, w), p).unwrap(),
+                conv2d_grad_weight_with(&x, &dy, spec, p).unwrap(),
+            ]
+        };
+        let oracle = passes(KernelPolicy::Naive);
+        let mut per_tier = Vec::new();
+        for &tier in &supported {
+            set_simd_tier(tier).unwrap();
+            per_tier.push((tier, passes(KernelPolicy::Blocked)));
+        }
+        let names = ["forward", "grad input", "grad weight"];
+        let (base_tier, base) = &per_tier[0];
+        for (tier, outs) in &per_tier {
+            for ((name, out), want) in names.iter().zip(outs).zip(&oracle) {
+                let scale = 1.0 + want.data().iter().fold(0.0f32, |s, v| s.max(v.abs()));
+                let diff = want.max_abs_diff(out).unwrap();
+                assert!(
+                    diff <= 1e-4 * scale,
+                    "{tier} depthwise {name} vs naive oracle: diff {diff} ({spec:?})"
+                );
+            }
+            for ((name, out), b) in names.iter().zip(outs).zip(base) {
+                let same = out
+                    .data()
+                    .iter()
+                    .zip(b.data())
+                    .all(|(u, v)| u.to_bits() == v.to_bits());
+                assert!(
+                    same,
+                    "{tier} depthwise {name} differs from {base_tier} ({spec:?})"
+                );
+            }
+        }
+    }
+
     // Leave the process on the probed default for any later test.
     set_simd_tier(SimdTier::probe()).unwrap();
 }
 
 #[test]
 fn unknown_override_is_a_loud_error() {
-    // Deliberately unlike PIPEBD_KERNEL_POLICY's warn-and-fall-back: a
-    // typo'd PIPEBD_SIMD must never silently benchmark the wrong tier.
+    // Like every PIPEBD_* knob, a typo'd PIPEBD_SIMD must never silently
+    // benchmark the wrong tier.
     let err = resolve_simd_override(Some("avx1024")).unwrap_err();
     assert!(
         err.contains("avx1024"),
